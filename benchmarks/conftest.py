@@ -3,8 +3,10 @@
 Every benchmark runs at a reduced *CI scale* by default so the whole
 suite finishes in a few minutes of pure Python; set
 ``REPRO_BENCH_SCALE=paper`` to run the paper's actual dimensions
-(RAM64/RAM256, all faults -- budget roughly an hour of CPU).  Measured
-results for both scales are recorded in EXPERIMENTS.md.
+(RAM64/RAM256, all faults -- budget roughly an hour of CPU).  Each
+benchmark archives its measurements in a ``BENCH_*.json`` file at the
+repo root; the paper-scale benchmark of record is ``BENCHMARK.json``
+(see ``perfbench/README.md``).
 """
 
 from __future__ import annotations

@@ -18,8 +18,10 @@ Checks:
 * the collapse actually found classes (representatives < faults) and
   the trim counters actually fired.
 
-Timing uses the process clock and the min over repeated runs, so the
-speedup assertion measures algorithmic work, not shared-runner noise.
+Timing uses the process clock: after one untimed warm-up run the two
+legs alternate (optimized, baseline, optimized, ...) and each keeps the
+min over its repeats, so a slow spell on a shared host lands on both
+legs alike and the speedup assertion measures algorithmic work.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ _OUT_PATH = os.path.join(
     "BENCH_collapse.json",
 )
 
-#: min-of-N repeats per leg; the process clock is stable, so two
-#: repeats are enough to shave scheduler hiccups off either leg.
-_REPEATS = 2
+#: Timed repeats per leg (min-of-N), interleaved across the legs.
+_REPEATS = 3
 
 
 def _first_detections(report):
@@ -57,16 +58,26 @@ def _first_detections(report):
     }
 
 
-def _timed_leg(backend, net, faults, observed, patterns, **options):
-    """Min-of-repeats process-clock run of one backend configuration."""
+def _timed_legs(backend, net, faults, observed, patterns, legs):
+    """Min-of-repeats process-clock reports, one per option set in
+    ``legs``, with the legs interleaved after one untimed warm-up."""
     policy = SimPolicy()  # process clock: measure work, not the machine
-    best = None
-    for _ in range(_REPEATS):
-        report = run_backend(
+
+    def run(options):
+        return run_backend(
             backend, net, faults, observed, patterns, policy, **options
         )
-        if best is None or report.total_seconds < best.total_seconds:
-            best = report
+
+    run(legs[0])
+    best = [None] * len(legs)
+    for _ in range(_REPEATS):
+        for index, options in enumerate(legs):
+            report = run(options)
+            if (
+                best[index] is None
+                or report.total_seconds < best[index].total_seconds
+            ):
+                best[index] = report
     return best
 
 
@@ -100,13 +111,12 @@ def test_collapse_trim_speedup(bench_scale):
     ):
         # static_prune is off on both legs so the measurement isolates
         # collapse + trim (test_static_prune.py measures the pruner).
-        optimized = _timed_leg(
+        optimized, baseline = _timed_legs(
             backend, ram.net, faults, [ram.dout], patterns,
-            static_prune=False,
-        )
-        baseline = _timed_leg(
-            backend, ram.net, faults, [ram.dout], patterns,
-            collapse=False, trim=False, static_prune=False,
+            (
+                {"static_prune": False},
+                {"collapse": False, "trim": False, "static_prune": False},
+            ),
         )
 
         # Redundancy elimination must not change the answer: identical

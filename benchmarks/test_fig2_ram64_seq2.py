@@ -11,8 +11,8 @@ slowly (a weaker head effect).
 This experiment runs under the *hard* detection policy: Figure 2's whole
 premise is that severe faults survive when the row/column marches are
 omitted, and that requires not dropping them on the X-vs-definite output
-differences they produce almost immediately on our RAM (see the policy
-discussion in EXPERIMENTS.md).
+differences they produce almost immediately on our RAM (the
+``DEFAULT_POLICY`` note in ``repro.harness.experiments``).
 """
 
 from __future__ import annotations
@@ -21,18 +21,30 @@ import statistics
 
 from repro.harness.experiments import run_fig1, run_fig2
 
+#: Runs per figure; each keeps its fastest fault simulation.
+_REPEATS = 3
+
 
 def test_fig2_sequence2_shape(benchmark, bench_scale):
     rows, cols, n_faults = bench_scale["fig2"]
+    runs = {run_fig1: [], run_fig2: []}
 
-    result2 = benchmark.pedantic(
-        lambda: run_fig2(
-            rows, cols, n_faults=n_faults, detection_policy="hard"
-        ),
-        rounds=1,
-        iterations=1,
+    def sweep():
+        # The figures alternate, and each keeps its fastest fault
+        # simulation (process clock): every assertion below compares
+        # timings of two separate runs, so a slow spell on a shared
+        # host must not land on one figure only.
+        for _ in range(_REPEATS):
+            for run in (run_fig2, run_fig1):
+                runs[run].append(
+                    run(rows, cols, n_faults=n_faults, detection_policy="hard")
+                )
+
+    benchmark.pedantic(sweep, rounds=1, iterations=1)
+    result1, result2 = (
+        min(runs[run], key=lambda result: result.sim_seconds)
+        for run in (run_fig1, run_fig2)
     )
-    result1 = run_fig1(rows, cols, n_faults=n_faults, detection_policy="hard")
     print()
     print(result2.render())
 

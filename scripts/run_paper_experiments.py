@@ -1,6 +1,7 @@
 """Run every paper experiment at the paper's own scale.
 
-Produces the numbers recorded in EXPERIMENTS.md:
+Produces the paper-scale figures (the benchmark of record for these
+workloads is ``BENCHMARK.json``, see ``perfbench/README.md``):
 
 * FIG1: RAM64, Test Sequence 1 (407 patterns), 428 sampled faults;
 * FIG2: RAM64, Test Sequence 2 (327 patterns), same faults;

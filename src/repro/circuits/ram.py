@@ -30,8 +30,8 @@ input settings, as in the paper):
 6. ``phi_w=0``   end of cycle.
 
 Exact transistor/node counts differ slightly from the authors' (their
-layouts are not published); ours land in the same range and are recorded
-in EXPERIMENTS.md.
+layouts are not published); ours land in the same range (``net.stats()``
+reports them).
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ Subcommands::
                              [--clock process|perf] [--lane-width W]
                              [--jobs N|auto] [--inner-backend NAME]
                              [--locality dynamic|static|compiled]
-                             [--no-solve-cache] [--no-collapse]
-                             [--no-trim] [--no-static-prune]
-                             [--no-lint] [--profile N]
+                             [--no-collapse] [--no-trim]
+                             [--no-static-prune] [--no-lint]
+                             [--profile N]
         Fault simulation (strategy selected from the backend registry)
         with randomly ordered input settings or a pattern file (one
         "name=value name=value ..." line per setting, blank line
@@ -71,6 +71,16 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 1
+    except OSError as error:
+        # An unreadable netlist or pattern file; other OS errors (no
+        # file involved) are bugs and keep their traceback.
+        if error.filename is None:
+            raise
+        print(
+            f"fmossim: error: {error.filename}: {error.strerror}",
+            file=sys.stderr,
+        )
         return 1
 
 
@@ -328,12 +338,6 @@ def add_backend_option_arguments(subparser) -> None:
         "components with the solve cache (default: dynamic)",
     )
     subparser.add_argument(
-        "--no-solve-cache",
-        action="store_true",
-        help="compiled locality: disable the memoized per-component "
-        "solve cache (measure the compile-only effect)",
-    )
-    subparser.add_argument(
         "--no-collapse",
         action="store_true",
         help="simulate every fault individually instead of one "
@@ -388,8 +392,6 @@ def backend_options_from_args(args) -> dict:
         options["inner_backend"] = args.inner_backend
     if args.locality is not None:
         options["locality"] = args.locality
-    if args.no_solve_cache:
-        options["solve_cache"] = False
     if args.no_collapse:
         options["collapse"] = False
     if args.no_trim:

@@ -55,12 +55,11 @@ from typing import Any, Callable, ClassVar, Iterable, Sequence, Type
 
 from ..errors import SimulationError
 from ..patterns.clocking import TestPattern
-from ..switchlevel.compiled import cache_stats
-from ..switchlevel.kernel import DEFAULT_MAX_ROUNDS, LOCALITIES
+from ..switchlevel.kernel import DEFAULT_MAX_ROUNDS, check_locality
 from ..switchlevel.network import Network
 from .batch import DEFAULT_LANE_WIDTH, BatchFaultSimulator
 from .concurrent import ConcurrentFaultSimulator
-from .detection import POLICIES, POLICY_HARD, Detection, DetectionLog
+from .detection import POLICY_HARD, Detection, DetectionLog, check_policy
 from .faults import Fault, collapse_faults
 from .goodtrace import GoodTrace
 from .report import PatternRecord, RunReport
@@ -76,6 +75,7 @@ __all__ = [
     "DEFAULT_POLICY",
     "FaultSimBackend",
     "SimPolicy",
+    "accepts_options",
     "available_backends",
     "backend_options_summary",
     "get_backend",
@@ -97,10 +97,7 @@ class SimPolicy:
     clock: str = "process"
 
     def __post_init__(self) -> None:
-        if self.detection_policy not in POLICIES:
-            raise SimulationError(
-                f"unknown detection policy {self.detection_policy!r}"
-            )
+        check_policy(self.detection_policy)
         if self.clock not in ("process", "perf"):
             raise SimulationError(f"unknown clock {self.clock!r}")
 
@@ -199,6 +196,16 @@ def get_backend(name: str, **options: Any) -> FaultSimBackend:
             f"invalid options for backend {name!r} (given: {given}); "
             f"backend {name!r} {backend_options_summary(name)}"
         ) from None
+
+
+def accepts_options(name: str, **options: Any) -> bool:
+    """Whether backend ``name`` can be built with ``options`` (a
+    third-party backend may not know the built-ins' knobs)."""
+    try:
+        get_backend(name, **options)
+    except SimulationError:
+        return False
+    return True
 
 
 def supports_progress(backend: FaultSimBackend) -> bool:
@@ -392,31 +399,46 @@ class CollapsePlan:
 # ---------------------------------------------------------------------------
 
 
-def _validate_locality(locality: str) -> str:
-    """Reject unknown locality modes at backend-configuration time."""
-    if locality not in LOCALITIES:
-        raise SimulationError(
-            f"unknown locality mode {locality!r}; expected one of "
-            + ", ".join(LOCALITIES)
-        )
-    return locality
+class _SolveCacheMeter:
+    """One run's ``RunReport.solve_cache`` counters.
 
+    Snapshots the simulator's compiled solve cache -- plus, for batch,
+    its per-chunk lane caches, counted as one pool -- once the
+    simulator is built; :meth:`stats` returns the run's delta, or
+    ``None`` when the simulator does not settle through a compiled
+    network.
+    """
 
-def _cache_delta(net: Network, before: dict | None) -> dict | None:
-    """Per-run solve-cache counters: current stats minus ``before``."""
-    after = cache_stats(net)
-    if after is None:
-        return None
-    hits = after["hits"] - (before["hits"] if before else 0)
-    misses = after["misses"] - (before["misses"] if before else 0)
-    lookups = hits + misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": hits / lookups if lookups else 0.0,
-        "entries": after["entries"],
-        "components": after["components"],
-    }
+    def __init__(self, simulator: Any):
+        self.compiled = simulator.compiled
+        self.lanes = getattr(simulator, "lane_cache_counters", None)
+        self.before = self._counters()
+
+    def _counters(self) -> tuple[int, int]:
+        if self.compiled is None:
+            return 0, 0
+        hits, misses = self.compiled.hits, self.compiled.misses
+        if self.lanes is not None:
+            lane_hits, lane_misses = self.lanes()
+            hits += lane_hits
+            misses += lane_misses
+        return hits, misses
+
+    def stats(self) -> dict | None:
+        if self.compiled is None:
+            return None
+        hits, misses = self._counters()
+        hits -= self.before[0]
+        misses -= self.before[1]
+        lookups = hits + misses
+        network = self.compiled.stats()
+        return {
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": hits / lookups if lookups else 0.0,
+            "entries": network["entries"],
+            "components": network["components"],
+        }
 
 
 @register_backend
@@ -428,14 +450,12 @@ class SerialBackend(FaultSimBackend):
     def __init__(
         self,
         locality: str = "dynamic",
-        solve_cache: bool = True,
         collapse: bool = True,
         trim: bool = True,
         static_prune: bool = True,
         good_trace: GoodTrace | None = None,
     ):
-        self.locality = _validate_locality(locality)
-        self.solve_cache = solve_cache
+        self.locality = check_locality(locality)
         self.collapse = collapse
         self.trim = trim
         self.static_prune = static_prune
@@ -462,11 +482,10 @@ class SerialBackend(FaultSimBackend):
             drop_on_detect=policy.drop_on_detect,
             max_rounds=policy.max_rounds,
             locality=self.locality,
-            solve_cache=self.solve_cache,
             trim=self.trim,
             good_trace=self.good_trace,
         )
-        before = cache_stats(simulator.network)
+        meter = _SolveCacheMeter(simulator)
         serial_report = simulator.run(pattern_list, clock=policy.clock)
         report = serial_run_report(
             serial_report,
@@ -475,8 +494,7 @@ class SerialBackend(FaultSimBackend):
         )
         report.oscillation_events = simulator.oscillation_events
         report.good_settles = simulator.good_settles
-        if self.locality == "compiled":
-            report.solve_cache = _cache_delta(simulator.network, before)
+        report.solve_cache = meter.stats()
         return plan.finish(report, policy.drop_on_detect)
 
 
@@ -489,14 +507,12 @@ class ConcurrentBackend(FaultSimBackend):
     def __init__(
         self,
         locality: str = "dynamic",
-        solve_cache: bool = True,
         collapse: bool = True,
         trim: bool = True,
         static_prune: bool = True,
         good_trace: GoodTrace | None = None,
     ):
-        self.locality = _validate_locality(locality)
-        self.solve_cache = solve_cache
+        self.locality = check_locality(locality)
         self.collapse = collapse
         self.trim = trim
         self.static_prune = static_prune
@@ -524,18 +540,16 @@ class ConcurrentBackend(FaultSimBackend):
             drop_on_detect=policy.drop_on_detect,
             max_rounds=policy.max_rounds,
             locality=self.locality,
-            solve_cache=self.solve_cache,
             trim=self.trim,
             good_trace=self.good_trace,
         )
-        before = cache_stats(simulator.network)
+        meter = _SolveCacheMeter(simulator)
         report = simulator.run(
             patterns,
             clock=policy.clock,
             progress=plan.wrap_progress(progress, policy.drop_on_detect),
         )
-        if self.locality == "compiled":
-            report.solve_cache = _cache_delta(simulator.network, before)
+        report.solve_cache = meter.stats()
         return plan.finish(report, policy.drop_on_detect)
 
 
@@ -549,14 +563,12 @@ class BatchBackend(FaultSimBackend):
         self,
         lane_width: int = DEFAULT_LANE_WIDTH,
         locality: str = "dynamic",
-        solve_cache: bool = True,
         collapse: bool = True,
         static_prune: bool = True,
         good_trace: GoodTrace | None = None,
     ):
         self.lane_width = lane_width
-        self.locality = _validate_locality(locality)
-        self.solve_cache = solve_cache
+        self.locality = check_locality(locality)
         self.collapse = collapse
         self.static_prune = static_prune
         self.good_trace = good_trace
@@ -584,31 +596,15 @@ class BatchBackend(FaultSimBackend):
             max_rounds=policy.max_rounds,
             lane_width=self.lane_width,
             locality=self.locality,
-            solve_cache=self.solve_cache,
             good_trace=self.good_trace,
         )
-        before = cache_stats(simulator.network)
-        lane_hits_before, lane_misses_before = simulator.lane_cache_counters()
+        meter = _SolveCacheMeter(simulator)
         report = simulator.run(
             patterns,
             clock=policy.clock,
             progress=plan.wrap_progress(progress, policy.drop_on_detect),
         )
-        if self.locality == "compiled":
-            # One pool: the scalar good engine's network-level cache
-            # plus the per-chunk lane caches.
-            scalar = _cache_delta(simulator.network, before) or {}
-            lane_hits, lane_misses = simulator.lane_cache_counters()
-            hits = scalar.get("hits", 0) + lane_hits - lane_hits_before
-            misses = (
-                scalar.get("misses", 0) + lane_misses - lane_misses_before
-            )
-            lookups = hits + misses
-            report.solve_cache = {
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": hits / lookups if lookups else 0.0,
-            }
+        report.solve_cache = meter.stats()
         return plan.finish(report, policy.drop_on_detect)
 
 

@@ -36,12 +36,21 @@ from typing import Callable, Iterable, Mapping, Sequence
 from ..errors import FaultError, SimulationError
 from ..patterns.clocking import TestPattern
 from ..switchlevel.bitplane import LaneSimulator
-from ..switchlevel.compiled import compile_network
-from ..switchlevel.kernel import DEFAULT_MAX_ROUNDS, LOCALITIES, SettleStats
+from ..switchlevel.kernel import (
+    DEFAULT_MAX_ROUNDS,
+    SettleStats,
+    check_locality,
+    compiled_for,
+)
 from ..switchlevel.logic import STATES
-from ..switchlevel.network import GND_NAME, VDD_NAME, Network
+from ..switchlevel.network import Network
 from ..switchlevel.scheduler import Engine
-from .detection import POLICIES, POLICY_HARD, Detection, DetectionLog
+from .detection import (
+    POLICY_HARD,
+    Detection,
+    DetectionLog,
+    check_policy,
+)
 from .faults import Fault
 from .goodtrace import GoodTrace
 from .inject import CLOSED_STATE, Instrumented, PreparedFault, prepare
@@ -105,15 +114,11 @@ class _Chunk:
             t_force_on={t: m for t, m in t_on.items() if m},
             t_force_off={t: m for t, m in t_off.items() if m},
             compiled=sim.compiled,
-            solve_cache=sim.solve_cache,
         )
         # Rails, then fault activation, then one settle -- the same
         # initialization order as a standalone engine per fault.
-        for name, state in ((VDD_NAME, 1), (GND_NAME, 0)):
-            if name in net.node_index:
-                node = net.node_index[name]
-                if net.node_is_input[node]:
-                    self.lanes.drive(node, state)
+        for node, state in net.rail_settings():
+            self.lanes.drive(node, state)
         for index, pf in enumerate(pfs):
             bit = 1 << index
             for seed in pf.seeds:
@@ -153,17 +158,12 @@ class BatchFaultSimulator:
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         lane_width: int = DEFAULT_LANE_WIDTH,
         locality: str = "dynamic",
-        solve_cache: bool = True,
         good_trace: GoodTrace | None = None,
     ):
-        if detection_policy not in POLICIES:
-            raise SimulationError(
-                f"unknown detection policy {detection_policy!r}"
-            )
+        check_policy(detection_policy)
         if lane_width < 1:
             raise SimulationError("lane_width must be positive")
-        if locality not in LOCALITIES:
-            raise SimulationError(f"unknown locality mode: {locality!r}")
+        check_locality(locality)
         instrumented: Instrumented = prepare(net, list(faults))
         self.network = instrumented.net
         self.good_forced_transistors = instrumented.good_forced_transistors
@@ -172,15 +172,12 @@ class BatchFaultSimulator:
         self.max_rounds = max_rounds
         self.lane_width = lane_width
         self.locality = locality
-        self.solve_cache = solve_cache
         #: Under the compiled locality the lanes select dirty components
         #: from this partition (with per-chunk lane-aware solve caches);
         #: the scalar good engine shares the network-level cache.  The
         #: static locality applies to the scalar good engine only: the
         #: lanes' union vicinity is already a component-complete region.
-        self.compiled = (
-            compile_network(self.network) if locality == "compiled" else None
-        )
+        self.compiled = compiled_for(self.network, locality)
         self.oscillation_events = 0
         if not observed:
             raise SimulationError("at least one observed node is required")
@@ -204,14 +201,9 @@ class BatchFaultSimulator:
                 forced_transistors=self.good_forced_transistors,
                 max_rounds=max_rounds,
                 locality=locality,
-                solve_cache=solve_cache,
             )
-            net_ = self.network
-            for name, state in ((VDD_NAME, 1), (GND_NAME, 0)):
-                if name in net_.node_index:
-                    node = net_.node_index[name]
-                    if net_.node_is_input[node]:
-                        self.good.drive(node, state)
+            for node, state in self.network.rail_settings():
+                self.good.drive(node, state)
             self.good.settle()
 
         prepared = list(instrumented.prepared)
@@ -378,7 +370,6 @@ class BatchFaultSimulator:
             forced_transistors=chunk.merged_forced_transistors(self, pf),
             max_rounds=self.max_rounds,
             locality=self.locality,
-            solve_cache=self.solve_cache,
         )
         engine.states[:] = states
         engine.tstates[:] = tstates

@@ -67,24 +67,26 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ..errors import FaultError, SimulationError
 from ..patterns.clocking import TestPattern
-from ..switchlevel.compiled import _np, compile_network
+from ..switchlevel.compiled import compile_network
 from ..switchlevel.kernel import (
     DEFAULT_MAX_ROUNDS,
-    LOCALITIES,
     SettleKernel,
     SettleStats,
     VicinitySolution,
+    check_locality,
 )
 from ..switchlevel.logic import STATES
-from ..switchlevel.network import GND_NAME, TRANS_TABLE, VDD_NAME, Network
+from ..switchlevel.network import TRANS_TABLE, Network
 from ..switchlevel.vicinity import expand_seed
 from .detection import (
-    POLICIES,
     POLICY_HARD,
     Detection,
     DetectionLog,
+    check_policy,
     differs,
 )
 from .faults import Fault
@@ -134,41 +136,33 @@ class _OverlayStates:
             return self.base[node]
         return state
 
-    def _base_bytes(
-        self, nodes: tuple, token: int | None, idx: Any
-    ) -> bytes:
-        """Round-start states of ``nodes``, memoized across circuits.
+    def _base_bytes(self, token: int, idx: Any) -> bytes:
+        """Round-start states of ``idx``'s nodes, memoized across circuits.
 
         Every faulty circuit of a round reads the same snapshot, so the
         bulk of each solve-cache key is computed once per component (or
         region) per round -- keyed by the component's int ``token``,
-        which hashes in O(1) where the node tuple would not.  With
-        numpy, the snapshot is lowered to one uint8 array per round and
-        each key is a fancy-index gather + ``tobytes``.
+        which hashes in O(1) where the node tuple would not.  The
+        snapshot is lowered to one uint8 array per round and each key is
+        a fancy-index gather + ``tobytes``.
         """
         cache = self.base_key_cache
-        ckey = nodes if token is None else token
-        raw = cache.get(ckey)
+        raw = cache.get(token)
         if raw is None:
-            if idx is not None:
-                snap = cache.get(_SNAP_KEY)
-                if snap is None:
-                    snap = _np.frombuffer(
-                        bytes(self.base), dtype=_np.uint8
-                    )
-                    cache[_SNAP_KEY] = snap
-                raw = snap[idx].tobytes()
-            else:
-                raw = bytes(map(self.base.__getitem__, nodes))
-            cache[ckey] = raw
+            snap = cache.get(_SNAP_KEY)
+            if snap is None:
+                snap = np.frombuffer(bytes(self.base), dtype=np.uint8)
+                cache[_SNAP_KEY] = snap
+            raw = snap[idx].tobytes()
+            cache[token] = raw
         return raw
 
     def key_bytes(
         self,
         nodes: tuple,
         positions: Mapping[int, int],
-        token: int | None = None,
-        idx: Any = None,
+        token: int,
+        idx: Any,
     ) -> bytes:
         """States of ``nodes`` as bytes (solve-cache key fast path).
 
@@ -177,7 +171,7 @@ class _OverlayStates:
         :meth:`_base_bytes`) and the (typically tiny) record overlay is
         patched on top.
         """
-        raw = self._base_bytes(nodes, token, idx)
+        raw = self._base_bytes(token, idx)
         records = self.records
         if records:
             # Iterate the smaller side directly: building an
@@ -236,10 +230,10 @@ class _OverlayStatesForced(_OverlayStates):
         self,
         nodes: tuple,
         positions: Mapping[int, int],
-        token: int | None = None,
-        idx: Any = None,
+        token: int,
+        idx: Any,
     ) -> bytes:
-        raw = self._base_bytes(nodes, token, idx)
+        raw = self._base_bytes(token, idx)
         patched = None
         # Later layers win: forced under records, as in __getitem__.
         # Iterate the smaller side of each layer/positions pair; a
@@ -491,16 +485,11 @@ class ConcurrentFaultSimulator:
         drop_on_detect: bool = True,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         locality: str = "dynamic",
-        solve_cache: bool = True,
         trim: bool = True,
         good_trace: GoodTrace | None = None,
     ):
-        if detection_policy not in POLICIES:
-            raise SimulationError(
-                f"unknown detection policy {detection_policy!r}"
-            )
-        if locality not in LOCALITIES:
-            raise SimulationError(f"unknown locality mode: {locality!r}")
+        check_policy(detection_policy)
+        check_locality(locality)
         instrumented: Instrumented = prepare(net, list(faults))
         self.network = instrumented.net
         self.good_forced_transistors = instrumented.good_forced_transistors
@@ -508,12 +497,6 @@ class ConcurrentFaultSimulator:
         self.drop_on_detect = drop_on_detect
         self.max_rounds = max_rounds
         self.locality = locality
-        #: With the compiled locality one cache (on the instrumented
-        #: network) serves the good circuit and every faulty overlay:
-        #: a faulty circuit differs from the good one on only a few
-        #: components, so most of its solves hit entries the good
-        #: circuit (or a sibling fault) already paid for.
-        self.solve_cache = solve_cache
         #: Redundancy trimming: clean-component seed filtering, whole
         #: round skips and fault-site index pruning.  All three only
         #: remove work whose outcome is provably identical to the good
@@ -524,11 +507,14 @@ class ConcurrentFaultSimulator:
             self.network,
             max_rounds=max_rounds,
             locality=locality,
-            solve_cache=solve_cache,
         )
-        self._compiled = (
-            compile_network(self.network) if locality == "compiled" else None
-        )
+        #: With the compiled locality one solve cache (on the
+        #: instrumented network) serves the good circuit and every
+        #: faulty overlay: a faulty circuit differs from the good one on
+        #: only a few components, so most of its solves hit entries the
+        #: good circuit (or a sibling fault) already paid for.  ``None``
+        #: off the compiled locality.
+        self.compiled = self._kernel.compiled
         #: Channel-connected-component indexes (node_component /
         #: t_component / gate_fanout) backing the dirty-component
         #: bookkeeping.  The partition is pure topology -- independent of
@@ -537,8 +523,8 @@ class ConcurrentFaultSimulator:
         #: per network; the solve caches stay untouched).  ``None`` only
         #: for untrimmed non-compiled runs.
         self._topo = (
-            self._compiled
-            if self._compiled is not None
+            self.compiled
+            if self.compiled is not None
             else (compile_network(self.network) if trim else None)
         )
 
@@ -859,10 +845,8 @@ class ConcurrentFaultSimulator:
         """
         net = self.network
         settings = {
-            name: state
-            for name, state in ((VDD_NAME, 1), (GND_NAME, 0))
-            if name in net.node_index
-            and net.node_is_input[net.node_index[name]]
+            net.node_names[node]: state
+            for node, state in net.rail_settings()
         }
         if self._replay is not None:
             self._replay_rounds = self._replay.init_rounds

@@ -25,6 +25,13 @@ POLICY_ANY = "any"
 POLICIES = (POLICY_HARD, POLICY_ANY)
 
 
+def check_policy(policy: str) -> str:
+    """Return ``policy``, or raise if it names no detection policy."""
+    if policy not in POLICIES:
+        raise SimulationError(f"unknown detection policy {policy!r}")
+    return policy
+
+
 def differs(good_state: int, faulty_state: int, policy: str) -> bool:
     """True if a faulty output value constitutes a detection."""
     if good_state == faulty_state:

@@ -43,7 +43,7 @@ from ..switchlevel.kernel import (
     SettleStats,
     VicinitySolution,
 )
-from ..switchlevel.network import GND_NAME, VDD_NAME, Network
+from ..switchlevel.network import Network
 from ..switchlevel.scheduler import Engine
 
 #: One recorded settle: the vicinity solutions of each round, in order.
@@ -211,7 +211,6 @@ def record_good_trace(
     forced_transistors: Mapping[int, int] | None = None,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     locality: str = "compiled",
-    solve_cache: bool = True,
 ) -> GoodTrace:
     """Simulate the good circuit once; returns the recorded trace.
 
@@ -238,11 +237,9 @@ def record_good_trace(
         forced_transistors=forced_transistors,
         max_rounds=max_rounds,
         locality=locality,
-        solve_cache=solve_cache,
     )
-    for name, state in ((VDD_NAME, 1), (GND_NAME, 0)):
-        if name in net.node_index and net.node_is_input[net.node(name)]:
-            engine.drive(net.node(name), state)
+    for node, state in net.rail_settings():
+        engine.drive(node, state)
     _stats, clean = _settle_recording(engine, trace.init_rounds)
     if not clean:
         trace.replayable = False

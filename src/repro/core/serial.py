@@ -31,10 +31,10 @@ from typing import Callable, Iterable, Sequence
 
 from ..errors import SimulationError
 from ..patterns.clocking import TestPattern
-from ..switchlevel.kernel import LOCALITIES
+from ..switchlevel.kernel import check_locality, compiled_for
 from ..switchlevel.network import TRANS_TABLE, Network
 from ..switchlevel.scheduler import Engine
-from .detection import POLICIES, POLICY_HARD, Detection, differs
+from .detection import POLICY_HARD, Detection, check_policy, differs
 from .faults import Fault
 from .goodtrace import GoodTrace, record_good_trace
 from .inject import Instrumented, PreparedFault, prepare
@@ -65,24 +65,18 @@ class SerialFaultSimulator:
         drop_on_detect: bool = True,
         max_rounds: int = 200,
         locality: str = "dynamic",
-        solve_cache: bool = True,
         trim: bool = True,
         good_trace: GoodTrace | None = None,
     ):
-        if detection_policy not in POLICIES:
-            raise SimulationError(
-                f"unknown detection policy {detection_policy!r}"
-            )
-        if locality not in LOCALITIES:
-            raise SimulationError(f"unknown locality mode: {locality!r}")
-        self.locality = locality
-        #: With the compiled locality the cache lives on the (shared)
-        #: instrumented network, so solves memoize across every per-fault
-        #: engine of the run -- faulty circuits mostly retrace the good
-        #: circuit's component configurations.
-        self.solve_cache = solve_cache
+        check_policy(detection_policy)
+        self.locality = check_locality(locality)
         self._instrumented: Instrumented = prepare(net, list(faults))
         self.network = self._instrumented.net
+        #: With the compiled locality the solve cache lives on the
+        #: (shared) instrumented network, so solves memoize across every
+        #: per-fault engine of the run -- faulty circuits mostly retrace
+        #: the good circuit's component configurations.
+        self.compiled = compiled_for(self.network, locality)
         if not observed:
             raise SimulationError("at least one observed node is required")
         self._observed_names = tuple(observed)
@@ -181,12 +175,10 @@ class SerialFaultSimulator:
             forced_transistors=forced_transistors,
             max_rounds=self.max_rounds,
             locality=self.locality,
-            solve_cache=self.solve_cache,
         )
         net = self.network
-        for name, state in (("vdd", 1), ("gnd", 0)):
-            if name in net.node_index and net.node_is_input[net.node(name)]:
-                engine.drive(net.node(name), state)
+        for node, state in net.rail_settings():
+            engine.drive(node, state)
         if pf is not None:
             for seed in pf.seeds:
                 engine.perturb(seed)
@@ -215,7 +207,6 @@ class SerialFaultSimulator:
             forced_transistors=self._instrumented.good_forced_transistors,
             max_rounds=self.max_rounds,
             locality=self.locality,
-            solve_cache=self.solve_cache,
         )
         self.oscillation_events += trace.oscillation_events
         return trace

@@ -112,6 +112,7 @@ from .backends import (
     CollapsePlan,
     FaultSimBackend,
     SimPolicy,
+    accepts_options,
     get_backend,
     register_backend,
 )
@@ -466,15 +467,6 @@ class ShardedBackend(FaultSimBackend):
         self.pool = pool
         self.inner_options = dict(inner_options)
 
-    def _probe_inner_option(self, options: dict, option: str, value) -> bool:
-        """Whether the inner backend accepts ``option`` (third-party
-        inner backends may not know the built-ins' knobs)."""
-        try:
-            get_backend(self.inner_backend, **{**options, option: value})
-        except SimulationError:
-            return False
-        return True
-
     def run(
         self,
         net: Network,
@@ -502,7 +494,9 @@ class ShardedBackend(FaultSimBackend):
         )
         run_faults = tuple(plan.run_faults)
         for option in ("collapse", "static_prune"):
-            if self._probe_inner_option(inner_options, option, False):
+            if accepts_options(
+                self.inner_backend, **{**inner_options, option: False}
+            ):
                 inner_options[option] = False
 
         # The cost model and every shipped artifact hang off the
@@ -529,7 +523,9 @@ class ShardedBackend(FaultSimBackend):
         if (
             compiled is not None
             and len(blocks) > 1
-            and self._probe_inner_option(inner_options, "good_trace", None)
+            and accepts_options(
+                self.inner_backend, **{**inner_options, "good_trace": None}
+            )
         ):
             record_start = time.process_time()
             trace = record_good_trace(
@@ -537,7 +533,6 @@ class ShardedBackend(FaultSimBackend):
                 observed,
                 pattern_list,
                 max_rounds=policy.max_rounds,
-                solve_cache=inner_options.get("solve_cache", True),
             )
             trace.seconds = time.process_time() - record_start
             if not trace.replayable:

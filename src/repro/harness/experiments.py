@@ -10,8 +10,10 @@ All drivers accept a circuit scale.  The paper's scale is
 ``rows=8, cols=8`` (RAM64, Figures 1/2) and ``rows=16, cols=16`` (RAM256,
 Figure 3 and the scaling comparison); the defaults here are smaller so
 the benchmark suite completes quickly in pure Python -- pass the paper's
-dimensions to reproduce the original experiments in full (see
-EXPERIMENTS.md for measured results at both scales).
+dimensions to reproduce the original experiments in full.  Measured
+results live in the committed ``BENCH_*.json`` files; the paper-scale
+benchmark of record is declared in ``BENCHMARK.json`` and described in
+``perfbench/README.md``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from ..circuits.ram import Ram, build_ram
-from ..core.backends import SimPolicy, run_backend
+from ..core.backends import SimPolicy, accepts_options, run_backend
 from ..core.concurrent import ConcurrentFaultSimulator
 from ..core.detection import POLICY_ANY
 from ..core.faults import Fault, ram_fault_universe, sample_faults
@@ -39,8 +41,28 @@ DEFAULT_SEED = 1985
 #: result on the output data pin different than the good circuit", which
 #: includes X-vs-definite differences -- that is ``POLICY_ANY``.  Pass
 #: ``detection_policy="hard"`` for the conservative definite-values-only
-#: rule (EXPERIMENTS.md reports both).
+#: rule.
 DEFAULT_POLICY = POLICY_ANY
+
+
+#: The fault-universe eliminators added since 1985, all off for the
+#: figure runs: Figures 1 and 2 compare concurrent with serial
+#: simulation, and the serial estimate charges every fault in the
+#: universe, so an eliminator-accelerated run would measure the
+#: eliminators instead of concurrency.
+ELIMINATORS = ("collapse", "static_prune", "trim")
+
+
+def paper_options(backend: str, options: dict | None) -> dict:
+    """``options`` plus every eliminator switched off that ``backend``
+    accepts (``batch`` has no ``trim``); explicit options win."""
+    merged = dict(options or {})
+    for option in ELIMINATORS:
+        if option not in merged and accepts_options(
+            backend, **{**merged, option: False}
+        ):
+            merged[option] = False
+    return merged
 
 
 def _pick_faults(
@@ -192,7 +214,8 @@ def run_curve_experiment(
 
     The good-circuit reference is always measured with the concurrent
     machinery (with no faults it *is* a plain good-circuit simulation);
-    the fault simulation itself goes through the backend registry.
+    the fault simulation itself goes through the backend registry and
+    runs the 1985 algorithm (see :func:`paper_options`).
     """
     ram = build_ram(rows, cols)
     sequence: RamSequence = sequence_builder(ram)
@@ -208,7 +231,7 @@ def run_curve_experiment(
         [ram.dout],
         list(sequence.patterns),
         SimPolicy(detection_policy=detection_policy),
-        **(backend_options or {}),
+        **paper_options(backend, backend_options),
     )
 
     serial_estimate = estimate_serial_seconds(

@@ -1,8 +1,8 @@
 """ASCII rendering of the paper's figures and tables.
 
 The experiment drivers produce numeric series; these helpers draw them as
-monospace charts (suitable for terminals, logs and EXPERIMENTS.md) and
-aligned tables.  Figures 1 and 2 are dual-series charts (cumulative
+monospace charts (suitable for terminals and logs) and aligned
+tables.  Figures 1 and 2 are dual-series charts (cumulative
 faults detected rising, seconds-per-pattern falling); Figure 3 is a pair
 of straight lines over fault-sample size.
 """

@@ -1,4 +1,4 @@
-"""Persistence of experiment results (CSV/JSON) for EXPERIMENTS.md.
+"""Persistence of experiment results (CSV/JSON).
 
 Result dataclasses from :mod:`repro.harness.experiments` are flattened to
 rows so runs can be archived and compared across machines.

@@ -50,6 +50,8 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping
 
+import numpy as np
+
 from .network import NTYPE, PTYPE, Network
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -85,7 +87,6 @@ class LaneSimulator:
         t_force_on: Mapping[int, int] | None = None,
         t_force_off: Mapping[int, int] | None = None,
         compiled: "CompiledNetwork | None" = None,
-        solve_cache: bool = True,
     ):
         net.require_finalized()
         self.net = net
@@ -106,7 +107,6 @@ class LaneSimulator:
         #: used to be flushed, which cold-started every component after
         #: each drop wave).
         self.compiled = compiled
-        self.solve_cache_enabled = solve_cache
         #: key -> (union of stored change lanes, change list).
         self._solve_memo: dict[tuple, tuple[int, list]] = {}
         #: (cid, conduction mask, member) -> region tuple.  A region is
@@ -364,23 +364,19 @@ class LaneSimulator:
         # region memo key alongside the seed -- a region is a pure
         # function of (component, mask, seed).
         mask = self._comp_masks[comp.cid]
-        use_cache = self.solve_cache_enabled
         regions = self._region_memo
         covered: set[int] | None = None
         changed: list[tuple[int, int, int, int]] = []
         for seed in sorted(seeds):
             if covered is not None and seed in covered:
                 continue
-            region = (
-                regions.get((comp.cid, mask, seed)) if use_cache else None
-            )
+            region = regions.get((comp.cid, mask, seed))
             if region is None:
                 region = self._explore_compiled(comp, mask, seed)
-                if use_cache:
-                    if len(regions) >= _MAX_LANE_CACHE_ENTRIES:
-                        regions.clear()
-                    for member in region[1]:
-                        regions[(comp.cid, mask, member)] = region
+                if len(regions) >= _MAX_LANE_CACHE_ENTRIES:
+                    regions.clear()
+                for member in region[1]:
+                    regions[(comp.cid, mask, member)] = region
             if len(seeds) > 1:
                 if covered is None:
                     covered = set(region[1])
@@ -483,39 +479,36 @@ class LaneSimulator:
             # incident channel off in every active lane: no arrivals,
             # so it keeps its charge and the solve is the identity.
             return []
-        use_cache = self.solve_cache_enabled
-        if use_cache:
-            key = (
-                rid,
-                self.lane_count,
-                node_get(self.p0),
-                node_get(self.p1),
-                ts_get(self.c_on),
-                ts_get(self.c_maybe),
-            )
-            entry = self._solve_memo.get(key)
-            if entry is not None:
-                self.cache_hits += 1
-                union, cached = entry
-                active = self.active
-                if union & ~active:
-                    # Stored under a wider active mask; per-lane results
-                    # are exact, so just drop the since-dropped lanes.
-                    cached = [
-                        (n, masked, new_p0, new_p1)
-                        for n, lanes, new_p0, new_p1 in cached
-                        if (masked := lanes & active)
-                    ]
-                return cached
+        key = (
+            rid,
+            self.lane_count,
+            node_get(self.p0),
+            node_get(self.p1),
+            ts_get(self.c_on),
+            ts_get(self.c_maybe),
+        )
+        entry = self._solve_memo.get(key)
+        if entry is not None:
+            self.cache_hits += 1
+            union, cached = entry
+            active = self.active
+            if union & ~active:
+                # Stored under a wider active mask; per-lane results
+                # are exact, so just drop the since-dropped lanes.
+                cached = [
+                    (n, masked, new_p0, new_p1)
+                    for n, lanes, new_p0, new_p1 in cached
+                    if (masked := lanes & active)
+                ]
+            return cached
         changed = self._solve(members, boundary, adj)
-        if use_cache:
-            self.cache_misses += 1
-            if len(self._solve_memo) >= _MAX_LANE_CACHE_ENTRIES:
-                self._solve_memo.clear()
-            union = 0
-            for _node, lanes, _p0, _p1 in changed:
-                union |= lanes
-            self._solve_memo[key] = (union, changed)
+        self.cache_misses += 1
+        if len(self._solve_memo) >= _MAX_LANE_CACHE_ENTRIES:
+            self._solve_memo.clear()
+        union = 0
+        for _node, lanes, _p0, _p1 in changed:
+            union |= lanes
+        self._solve_memo[key] = (union, changed)
         return changed
 
     def _explore(
@@ -932,17 +925,14 @@ class LaneSimulator:
                 flat.append(lanes)
                 flat.append(new_p0)
                 flat.append(new_p1)
-        from .compiled import _np
-
-        if _np is not None and self.lane_count <= 64:
+        if self.lane_count <= 64:
             # One vectorized bit-gather per surviving lane over every
-            # integer in the memo at once (valid because chunk widths
-            # never exceed 64 lanes).
-            arr = _np.array(flat, dtype=_np.uint64)
-            acc = _np.zeros(len(flat), dtype=_np.uint64)
-            one = _np.uint64(1)
+            # integer in the memo at once (fits uint64 at <= 64 lanes).
+            arr = np.array(flat, dtype=np.uint64)
+            acc = np.zeros(len(flat), dtype=np.uint64)
+            one = np.uint64(1)
             for j, lane in enumerate(keep):
-                acc |= ((arr >> _np.uint64(lane)) & one) << _np.uint64(j)
+                acc |= ((arr >> np.uint64(lane)) & one) << np.uint64(j)
             packed_flat = acc.tolist()
         elif len(flat) <= 200_000:
             packed_flat = [pack(value) for value in flat]

@@ -45,13 +45,11 @@ module is that compile pass, plus the caches it enables:
    the good circuit on only a few components, which is what makes the
    hit rate high.
 
-When numpy is importable (and ``REPRO_PURE_PYTHON`` is unset) the hot
-arrays additionally carry ndarray companions: conduction masks become
-one vectorized 2-D table lookup (``_TRANS_NP[kind, gate_state]`` +
+The hot arrays carry numpy companions: conduction masks become one
+vectorized 2-D table lookup (``_TRANS_NP[kind, gate_state]`` +
 ``packbits``) and cache keys one fancy-index gather + ``tobytes`` from
-a per-round state snapshot (see :func:`state_keys`).  The pure-Python
-loops remain as the automatic fallback and both paths are checked
-bit-for-bit equal by the locality property suite.
+a per-round state snapshot (see :func:`state_keys`).  Components too
+small to repay the ndarray round trip keep plain Python loops.
 
 Per-circuit *forced nodes* (node faults acting as pseudo-inputs) are
 not known at compile time, so they are handled at region-build time: a
@@ -68,34 +66,22 @@ the caches *shared by every backend* running on the same network.
 
 from __future__ import annotations
 
-import os
 import weakref
 from array import array
 from itertools import count
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from ..errors import NetworkNotFinalizedError
 from .network import TRANS_TABLE, Network
 from .steady_state import solve_vicinity
 from .vicinity import NO_FORCED
 
-# numpy is an optional accelerator, selected automatically at import:
-# conduction masks become one vectorized table lookup and cache keys one
-# fancy-index gather + ``tobytes``.  ``REPRO_PURE_PYTHON`` forces the
-# pure-Python fallback (the CI parity leg runs the whole locality suite
-# both ways); every consumer checks ``_np`` at call time, so tests can
-# also monkeypatch it off before building a network.
-try:
-    if os.environ.get("REPRO_PURE_PYTHON"):
-        raise ImportError("numpy disabled by REPRO_PURE_PYTHON")
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the pure-python CI leg
-    _np = None
-
 #: Table 1 as a 2-D uint8 array (row: transistor kind, column: gate
 #: state), so a component's channel states vectorize to
 #: ``_TRANS_NP[ts_kind, gate_states]``.
-_TRANS_NP = None if _np is None else _np.array(TRANS_TABLE, dtype=_np.uint8)
+_TRANS_NP = np.array(TRANS_TABLE, dtype=np.uint8)
 
 #: Unique ids for key-carrying objects (components and regions): cache
 #: keys hash an int token instead of a long node tuple.
@@ -133,19 +119,20 @@ MAX_CACHE_ENTRIES = 1_000_000
 
 
 def numpy_enabled() -> bool:
-    """Whether the vectorized (numpy) kernel is active."""
-    return _np is not None
+    """Whether the vectorized (numpy) kernel is active; numpy is a
+    required dependency, so it always is."""
+    return True
 
 
 class _PlainKeys:
     """Packed-states cache-key builder over a plain list view.
 
     One instance serves (at most) one synchronous round -- the states
-    must not change underneath it.  With numpy, a byte snapshot of the
-    full state vector is taken lazily on the first sizable key and every
-    key becomes a C-speed fancy-index gather + ``tobytes``; without
-    numpy (or for tiny node tuples, where the ndarray round-trip costs
-    more than it saves) keys fall back to ``bytes(map(...))``.
+    must not change underneath it.  A byte snapshot of the full state
+    vector is taken lazily on the first sizable key and every key
+    becomes a C-speed fancy-index gather + ``tobytes``; until then, tiny
+    node tuples (where the ndarray round-trip costs more than it saves)
+    use ``bytes(map(...))``.
     """
 
     __slots__ = ("states", "_snap")
@@ -154,19 +141,15 @@ class _PlainKeys:
         self.states = states
         self._snap = None
 
-    def key_bytes(self, nodes, positions, token=None, idx=None):
+    def key_bytes(self, nodes, positions, token, idx):
         snap = self._snap
-        if (
-            idx is not None
-            and _np is not None
-            and (snap is not None or len(nodes) >= 16)
-        ):
-            if snap is None:
-                snap = self._snap = _np.frombuffer(
-                    bytes(self.states), dtype=_np.uint8
-                )
-            return snap[idx].tobytes()
-        return bytes(map(self.states.__getitem__, nodes))
+        if snap is None:
+            if len(nodes) < 16:
+                return bytes(map(self.states.__getitem__, nodes))
+            snap = self._snap = np.frombuffer(
+                bytes(self.states), dtype=np.uint8
+            )
+        return snap[idx].tobytes()
 
 
 def state_keys(states):
@@ -312,21 +295,13 @@ class CompiledComponent:
 
         self.key_token = next(_KEY_TOKENS)
         self.comp_key_token = next(_KEY_TOKENS)
-        if _np is not None:
-            # ndarray companions of the hot flat arrays: conduction
-            # masks index Table 1 by kind x gate state in one shot, and
-            # cache-key bytes gather through the ``*_idx`` arrays.
-            self.ts_kind_np = _np.array(self.ts_kind, dtype=_np.intp)
-            self.ts_gpos_np = _np.array(self.ts_gpos, dtype=_np.intp)
-            self.edge_gates_idx = _np.array(self.edge_gates, dtype=_np.intp)
-            self.comp_key_idx = _np.array(
-                self.comp_key_nodes, dtype=_np.intp
-            )
-        else:
-            self.ts_kind_np = None
-            self.ts_gpos_np = None
-            self.edge_gates_idx = None
-            self.comp_key_idx = None
+        # ndarray companions of the hot flat arrays: conduction masks
+        # index Table 1 by kind x gate state in one shot, and cache-key
+        # bytes gather through the ``*_idx`` arrays.
+        self.ts_kind_np = np.array(self.ts_kind, dtype=np.intp)
+        self.ts_gpos_np = np.array(self.ts_gpos, dtype=np.intp)
+        self.edge_gates_idx = np.array(self.edge_gates, dtype=np.intp)
+        self.comp_key_idx = np.array(self.comp_key_nodes, dtype=np.intp)
 
     def __getstate__(self) -> dict:
         """Core arrays only, int tuples packed as raw int64 buffers.
@@ -444,10 +419,7 @@ class Region:
         self.key_nodes = members + tuple(gates) + inputs
         self.key_pos = {n: i for i, n in enumerate(self.key_nodes)}
         self.key_token = next(_KEY_TOKENS)
-        self.key_idx = (
-            None if _np is None
-            else _np.array(self.key_nodes, dtype=_np.intp)
-        )
+        self.key_idx = np.array(self.key_nodes, dtype=np.intp)
         self.state_override = state_override
         self.solves: dict[bytes, tuple[tuple[int, int], ...]] = {}
 
@@ -622,7 +594,6 @@ class CompiledNetwork:
         forced: Mapping[int, int] = NO_FORCED,
         forced_transistors: Mapping[int, int] | None = None,
         *,
-        use_cache: bool = True,
         sig_cache: dict | None = None,
         keys=None,
     ) -> list[
@@ -639,8 +610,8 @@ class CompiledNetwork:
         region containing a seed -- the same regions (and the same
         results) dynamic exploration hands out.  ``states`` is any
         indexable view (a plain list or a concurrent overlay); nothing
-        is modified.  ``tstates`` is unused when the cache is on
-        (conduction derives from gate states) and kept for symmetry.
+        is modified.  ``tstates`` is unused (conduction derives from
+        gate states) and kept for symmetry.
         ``forced_transistors`` must name the circuit's transistor
         forcing, which overrides the gate-derived conduction.
         ``sig_cache``, when given, memoizes the component-local forced
@@ -687,48 +658,42 @@ class CompiledNetwork:
             seeds_t = (seeds[0],) if isinstance(seeds, list) else tuple(seeds)
         else:
             seeds_t = tuple(sorted(seeds))
-        call_key = None
-        if use_cache:
-            # Evict only here, before any lookups or id interning: a
-            # mid-call eviction would let an already-resolved mask id
-            # be re-inserted into the freshly cleared memos and later
-            # collide with a different mask's id.  (Checked inline:
-            # this runs once per dirty component per round.)
-            if self._entries >= MAX_CACHE_ENTRIES:
-                self._evict_if_full()
-            # Whole-call fast path: one packed read of everything the
-            # component's solves can depend on, one probe.
-            comp_key = keys(
-                comp.comp_key_nodes, comp.comp_key_pos,
-                comp.comp_key_token, comp.comp_key_idx,
-            )
-            call_key = (seeds_t, forced_sig, forced_t_sig, comp_key)
-            cached_call = self._calls[cid].get(call_key)
-            if cached_call is not None:
-                self.hits += len(cached_call)
-                return cached_call
+        # Evict only here, before any lookups or id interning: a
+        # mid-call eviction would let an already-resolved mask id be
+        # re-inserted into the freshly cleared memos and later collide
+        # with a different mask's id.  (Checked inline: this runs once
+        # per dirty component per round.)
+        if self._entries >= MAX_CACHE_ENTRIES:
+            self._evict_if_full()
+        # Whole-call fast path: one packed read of everything the
+        # component's solves can depend on, one probe.
+        comp_key = keys(
+            comp.comp_key_nodes, comp.comp_key_pos,
+            comp.comp_key_token, comp.comp_key_idx,
+        )
+        call_key = (seeds_t, forced_sig, forced_t_sig, comp_key)
+        cached_call = self._calls[cid].get(call_key)
+        if cached_call is not None:
+            self.hits += len(cached_call)
+            return cached_call
 
         gate_key = keys(
             comp.edge_gates, comp.edge_gate_pos,
             comp.key_token, comp.edge_gates_idx,
         )
 
-        mask_id = -1
-        if use_cache:
-            masks = self._masks[cid]
-            mask_key = (gate_key, forced_t_sig)
-            entry = masks.get(mask_key)
-            if entry is None:
-                mask = self._conduction_mask(comp, gate_key, forced_t_sig)
-                mask_ids = self._mask_ids[cid]
-                mask_id = mask_ids.setdefault(mask, len(mask_ids))
-                masks[mask_key] = (mask, mask_id)
-                self._entries += 1
-                self._comp_entries[cid] += 1
-            else:
-                mask, mask_id = entry
-        else:
+        masks = self._masks[cid]
+        mask_key = (gate_key, forced_t_sig)
+        entry = masks.get(mask_key)
+        if entry is None:
             mask = self._conduction_mask(comp, gate_key, forced_t_sig)
+            mask_ids = self._mask_ids[cid]
+            mask_id = mask_ids.setdefault(mask, len(mask_ids))
+            masks[mask_key] = (mask, mask_id)
+            self._entries += 1
+            self._comp_entries[cid] += 1
+        else:
+            mask, mask_id = entry
 
         regions = self._regions[cid]
         ordered: list[Region] = []
@@ -737,20 +702,18 @@ class CompiledNetwork:
         for seed in seeds_t:
             region = local.get(seed)
             if region is None:
-                region_key = (mask_id, forced_sig, forced_t_sig, seed)
-                region = regions.get(region_key) if use_cache else None
+                region = regions.get((mask_id, forced_sig, forced_t_sig, seed))
                 if region is None:
                     region = self._explore_region(
                         comp, mask, forced, forced_sig, forced_t_sig, seed,
-                        self._interns[cid] if use_cache else None,
+                        self._interns[cid],
                     )
-                    if use_cache:
-                        for member in region.members:
-                            regions[
-                                (mask_id, forced_sig, forced_t_sig, member)
-                            ] = region
-                        self._entries += len(region.members)
-                        self._comp_entries[cid] += len(region.members)
+                    for member in region.members:
+                        regions[
+                            (mask_id, forced_sig, forced_t_sig, member)
+                        ] = region
+                    self._entries += len(region.members)
+                    self._comp_entries[cid] += len(region.members)
                 for member in region.members:
                     local[member] = region
             key = id(region)
@@ -763,30 +726,13 @@ class CompiledNetwork:
 
         results = []
         for region in ordered:
-            if use_cache:
-                solve_key = keys(
-                    region.key_nodes, region.key_pos,
-                    region.key_token, region.key_idx,
-                )
-                changes = region.solves.get(solve_key)
-                if changes is None:
-                    self.misses += 1
-                    changes = tuple(
-                        solve_vicinity(
-                            self.net,
-                            states,
-                            region.members,
-                            region.boundary,
-                            self._materialize(comp, region, gate_key),
-                            forced,
-                        )
-                    )
-                    region.solves[solve_key] = changes
-                    self._entries += 1
-                    self._comp_entries[cid] += 1
-                else:
-                    self.hits += 1
-            else:
+            solve_key = keys(
+                region.key_nodes, region.key_pos,
+                region.key_token, region.key_idx,
+            )
+            changes = region.solves.get(solve_key)
+            if changes is None:
+                self.misses += 1
                 changes = tuple(
                     solve_vicinity(
                         self.net,
@@ -797,6 +743,11 @@ class CompiledNetwork:
                         forced,
                     )
                 )
+                region.solves[solve_key] = changes
+                self._entries += 1
+                self._comp_entries[cid] += 1
+            else:
+                self.hits += 1
             results.append(
                 (
                     region.members,
@@ -805,10 +756,9 @@ class CompiledNetwork:
                     region_seeds[id(region)],
                 )
             )
-        if call_key is not None:
-            self._calls[cid][call_key] = results
-            self._entries += 1
-            self._comp_entries[cid] += 1
+        self._calls[cid][call_key] = results
+        self._entries += 1
+        self._comp_entries[cid] += 1
         return results
 
     def _conduction_mask(
@@ -823,18 +773,13 @@ class CompiledNetwork:
         and unknown conduction merge, so the X-rich configurations of
         faulty circuits share regions with the good circuit's.
         """
-        ts_kind_np = comp.ts_kind_np
-        if (
-            _np is not None
-            and ts_kind_np is not None
-            and len(comp.ts_kind) >= 8
-        ):
+        if len(comp.ts_kind) >= 8:
             # Vectorized Table 1 lookup; pack LSB-first so bit i is
             # transistor i of ``edge_ts``, matching the Python loop.
-            gk = _np.frombuffer(gate_key, dtype=_np.uint8)
-            conducting = _TRANS_NP[ts_kind_np, gk[comp.ts_gpos_np]]
+            gk = np.frombuffer(gate_key, dtype=np.uint8)
+            conducting = _TRANS_NP[comp.ts_kind_np, gk[comp.ts_gpos_np]]
             mask = int.from_bytes(
-                _np.packbits(conducting != 0, bitorder="little").tobytes(),
+                np.packbits(conducting != 0, bitorder="little").tobytes(),
                 "little",
             )
         else:
@@ -861,7 +806,7 @@ class CompiledNetwork:
         forced_sig: tuple,
         forced_t_sig: tuple,
         seed: int,
-        intern: dict | None,
+        intern: dict,
     ) -> Region:
         """Mask-filtered BFS from ``seed`` over the compiled arrays.
 
@@ -920,20 +865,19 @@ class CompiledNetwork:
         members.sort()
         inputs.sort()
         forced_boundary.sort()
-        if intern is not None:
-            # The BFS records every conducting edge it crossed --
-            # including the ones that stopped at inputs and forced
-            # nodes -- so (members, crossed edges, forced sigs) pins
-            # the whole structure.  Regions rediscovered under a
-            # different component-wide mask intern to the same object
-            # and inherit its warm ``solves`` memo.
-            ts_bits = 0
-            for ti in ts_seen:
-                ts_bits |= 1 << ti
-            struct_key = (tuple(members), ts_bits, forced_sig, forced_t_sig)
-            interned = intern.get(struct_key)
-            if interned is not None:
-                return interned
+        # The BFS records every conducting edge it crossed -- including
+        # the ones that stopped at inputs and forced nodes -- so
+        # (members, crossed edges, forced sigs) pins the whole
+        # structure.  Regions rediscovered under a different
+        # component-wide mask intern to the same object and inherit its
+        # warm ``solves`` memo.
+        ts_bits = 0
+        for ti in ts_seen:
+            ts_bits |= 1 << ti
+        struct_key = (tuple(members), ts_bits, forced_sig, forced_t_sig)
+        interned = intern.get(struct_key)
+        if interned is not None:
+            return interned
         ts_index = comp.ts_index
         region = Region(
             comp,
@@ -948,8 +892,7 @@ class CompiledNetwork:
                 if ts_index[t] in ts_seen
             },
         )
-        if intern is not None:
-            intern[struct_key] = region
+        intern[struct_key] = region
         return region
 
     def _materialize(

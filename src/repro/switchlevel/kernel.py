@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 from ..errors import OscillationError, SimulationError
-from .compiled import compile_network, state_keys
+from .compiled import CompiledNetwork, compile_network, state_keys
 from .logic import X
 from .network import Network
 from .steady_state import solve_vicinity
@@ -65,6 +65,22 @@ DEFAULT_X_ATTEMPTS = 3
 #: (see :mod:`repro.switchlevel.compiled`).
 LOCALITIES = ("dynamic", "static", "compiled")
 OSCILLATION_POLICIES = ("x", "raise")
+
+
+def check_locality(locality: str) -> str:
+    """Return ``locality``, or raise if it names no locality mode."""
+    if locality not in LOCALITIES:
+        raise SimulationError(
+            f"unknown locality mode {locality!r}; expected one of "
+            + ", ".join(LOCALITIES)
+        )
+    return locality
+
+
+def compiled_for(net: Network, locality: str) -> CompiledNetwork | None:
+    """The compiled form ``locality`` settles ``net`` through -- where
+    its solve cache lives -- or ``None`` off the compiled locality."""
+    return compile_network(net) if locality == "compiled" else None
 
 
 @dataclass(slots=True)
@@ -146,7 +162,6 @@ def solve_round(
     locality: str = "dynamic",
     batch: bool = False,
     stats: SettleStats | None = None,
-    solve_cache: bool = True,
     forced_transistors: Mapping[int, int] | None = None,
     sig_cache: dict | None = None,
 ) -> list[VicinitySolution]:
@@ -164,7 +179,7 @@ def solve_round(
 
     The ``compiled`` locality replaces exploration entirely: seeds map
     to precompiled components in O(1) and each dirty component's solve
-    is memoized (``solve_cache``).  One solution is emitted per seeded
+    is memoized.  One solution is emitted per seeded
     *conducting subcomponent* -- the same granularity dynamic
     exploration produces -- in both batch and per-seed modes, so every
     caller gets what it needs from the one code path.
@@ -185,7 +200,6 @@ def solve_round(
                 grouped[cid],
                 forced,
                 forced_transistors,
-                use_cache=solve_cache,
                 sig_cache=sig_cache,
                 keys=keys,
             )
@@ -274,9 +288,9 @@ class SettleKernel:
     __slots__ = (
         "net",
         "locality",
+        "compiled",
         "max_rounds",
         "on_oscillation",
-        "solve_cache",
         "x_attempts",
     )
 
@@ -288,10 +302,8 @@ class SettleKernel:
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         on_oscillation: str = "x",
         x_attempts: int = DEFAULT_X_ATTEMPTS,
-        solve_cache: bool = True,
     ):
-        if locality not in LOCALITIES:
-            raise SimulationError(f"unknown locality mode: {locality!r}")
+        check_locality(locality)
         if on_oscillation not in OSCILLATION_POLICIES:
             raise SimulationError(
                 f"unknown oscillation policy: {on_oscillation!r}"
@@ -301,11 +313,9 @@ class SettleKernel:
         self.max_rounds = max_rounds
         self.on_oscillation = on_oscillation
         self.x_attempts = x_attempts
-        self.solve_cache = solve_cache
-        if locality == "compiled":
-            # Compile eagerly: configuration errors (unfinalized nets)
-            # surface at construction, not mid-settle.
-            compile_network(net)
+        # Compiled eagerly: configuration errors (unfinalized nets)
+        # surface at construction, not mid-settle.
+        self.compiled = compiled_for(net, locality)
 
     # --- single rounds ----------------------------------------------------
     def step(
@@ -328,7 +338,6 @@ class SettleKernel:
             locality=self.locality,
             batch=batch,
             stats=stats,
-            solve_cache=self.solve_cache,
             forced_transistors=getattr(circuit, "forced_transistors", None),
             sig_cache=getattr(circuit, "compiled_sig_cache", None),
         )

@@ -338,6 +338,16 @@ class Network:
         """Indexes of all storage (non-input) nodes."""
         return [i for i, flag in enumerate(self.node_is_input) if not flag]
 
+    def rail_settings(self) -> list[tuple[int, int]]:
+        """Power-up drive: ``(node, state)`` for vdd then gnd, each
+        present only when declared as an input."""
+        return [
+            (self.node_index[name], state)
+            for name, state in ((VDD_NAME, 1), (GND_NAME, 0))
+            if name in self.node_index
+            and self.node_is_input[self.node_index[name]]
+        ]
+
     def iter_transistors(self) -> Iterator[TransistorInfo]:
         for t in range(len(self.t_names)):
             yield self.transistor_info(t)

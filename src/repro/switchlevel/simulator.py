@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 from ..errors import SimulationError
 from .logic import STATE_CHARS, state_from_char
-from .network import GND_NAME, VDD_NAME, Network
+from .network import Network
 from .scheduler import DEFAULT_MAX_ROUNDS, Engine, SettleStats
 
 
@@ -46,7 +46,6 @@ class Simulator:
         locality: str = "dynamic",
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         on_oscillation: str = "x",
-        solve_cache: bool = True,
         drive_rails: bool = True,
     ):
         self.net = net
@@ -57,15 +56,11 @@ class Simulator:
             locality=locality,
             max_rounds=max_rounds,
             on_oscillation=on_oscillation,
-            solve_cache=solve_cache,
         )
         self._observed_oscillation = False
         if drive_rails:
-            for name, state in ((VDD_NAME, 1), (GND_NAME, 0)):
-                if name in net.node_index:
-                    node = net.node_index[name]
-                    if net.node_is_input[node]:
-                        self.engine.drive(node, state)
+            for node, state in net.rail_settings():
+                self.engine.drive(node, state)
             self.settle()
 
     # --- driving -----------------------------------------------------------

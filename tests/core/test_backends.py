@@ -71,14 +71,20 @@ class TestRegistry:
     def test_get_backend_rejects_unsupported_options(self):
         # Regression: this used to leak a raw TypeError
         # ("SerialBackend() got an unexpected keyword argument") through
-        # the CLI.  The error names the backend, the offending option
-        # and the options it does accept.
-        with pytest.raises(SimulationError) as excinfo:
-            get_backend("serial", lane_width=8)
-        message = str(excinfo.value)
-        assert "serial" in message
-        assert "lane_width" in message
-        assert "accepts: locality" in message
+        # the CLI.  The error is one line naming the backend, the
+        # offending option and the options it does accept.  solve_cache
+        # was an option until the compiled locality always memoized.
+        for backend, option, value in (
+            ("serial", "lane_width", 8),
+            ("concurrent", "solve_cache", False),
+        ):
+            with pytest.raises(SimulationError) as excinfo:
+                get_backend(backend, **{option: value})
+            message = str(excinfo.value)
+            assert len(message.splitlines()) == 1
+            assert backend in message
+            assert option in message
+            assert "accepts: locality" in message
 
     def test_get_backend_rejects_unknown_option_names_accepted_ones(self):
         with pytest.raises(SimulationError) as excinfo:
@@ -235,20 +241,6 @@ class TestThreeWayParity:
             assert first_detections(report, len(faults)) == baseline, backend
             assert report.solve_cache is not None
             assert report.solve_cache["hits"] > 0
-
-    def test_compiled_without_cache_matches(self, ram_case):
-        net, faults, observed, patterns = ram_case
-        baseline = first_detections(
-            run_backend("serial", net, faults, observed, patterns),
-            len(faults),
-        )
-        report = run_backend(
-            "concurrent", net, faults, observed, patterns,
-            locality="compiled", solve_cache=False,
-        )
-        assert first_detections(report, len(faults)) == baseline
-        assert report.solve_cache is not None
-        assert report.solve_cache["hits"] == 0
 
     def test_sharded_forwards_locality_to_inner(self, ram_case):
         net, faults, observed, patterns = ram_case

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.harness.experiments import (
+    paper_options,
     run_fig1,
     run_fig2,
     run_fig3,
@@ -95,6 +96,15 @@ class TestDrivers:
         assert len(result.cumulative_detections) == result.n_patterns
         assert 0 < result.coverage <= 1
         assert result.concurrent_seconds > result.good_seconds
+
+    def test_figures_run_the_1985_algorithm(self, tiny_fig1):
+        # Eliminators are off unless asked for; batch has no trim.
+        assert tiny_fig1.collapse is None and tiny_fig1.trim is None
+        assert tiny_fig1.static_pruned is None
+        assert paper_options("batch", {"collapse": True}) == {
+            "collapse": True,
+            "static_prune": False,
+        }
 
     def test_fig1_render(self, tiny_fig1):
         text = tiny_fig1.render()

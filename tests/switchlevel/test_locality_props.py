@@ -5,20 +5,14 @@ round (dynamic vicinities, static DC-connected components, or compiled
 channel-connected components with memoized regions); the states they
 produce must be identical after every input setting.  Checked on random
 finalized networks with random stimuli, with and without forced nodes
-and forced transistors (the fault-overlay boundaries), and with the
-solve cache both enabled and disabled.
+and forced transistors (the fault-overlay boundaries).
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.netlist.builder import NetworkBuilder
-from repro.switchlevel import compiled as compiled_module
 from repro.switchlevel.kernel import LOCALITIES
 from repro.switchlevel.scheduler import Engine
 
@@ -80,14 +74,13 @@ def locality_case(draw):
 
 
 def run_locality(net, forced_nodes, forced_transistors, sequence,
-                 locality, solve_cache=True):
+                 locality):
     """Drive the sequence under one locality; return per-step states."""
     engine = Engine(
         net,
         forced_nodes=forced_nodes,
         forced_transistors=forced_transistors,
         locality=locality,
-        solve_cache=solve_cache,
         max_rounds=40,
     )
     for name, state in (("vdd", 1), ("gnd", 0)):
@@ -128,92 +121,3 @@ class TestLocalityParity:
                 f"(forced_nodes={forced_nodes}, "
                 f"forced_transistors={forced_transistors})"
             )
-
-    @PROP_SETTINGS
-    @given(locality_case())
-    def test_compiled_cache_does_not_change_results(self, case):
-        net, forced_nodes, forced_transistors, sequence = case
-        cached = run_locality(
-            net, forced_nodes, forced_transistors, sequence,
-            "compiled", solve_cache=True,
-        )
-        uncached = run_locality(
-            net, forced_nodes, forced_transistors, sequence,
-            "compiled", solve_cache=False,
-        )
-        assert cached == uncached
-
-
-class TestNumpyFallbackParity:
-    """The vectorized kernel and the pure-Python fallback are one path.
-
-    The compiled locality lowers conduction masks and cache keys to
-    numpy when available; the fallback must produce bit-identical
-    states on the X-rich configurations faulty circuits create (forced
-    nodes and forced transistors are the fault-overlay boundaries).
-    """
-
-    @PROP_SETTINGS
-    @given(locality_case())
-    def test_numpy_matches_pure_python(self, case):
-        if compiled_module._np is None:
-            return  # already running pure-Python; nothing to compare
-        net, forced_nodes, forced_transistors, sequence = case
-        with_numpy = run_locality(
-            net, forced_nodes, forced_transistors, sequence, "compiled"
-        )
-        # Force the pure-Python path and recompile from scratch so the
-        # fallback builds its own (numpy-free) compiled form rather
-        # than inheriting ndarray companions or warm memos.
-        saved = compiled_module._np
-        compiled_module._np = None
-        compiled_module._COMPILED.pop(net, None)
-        try:
-            pure = run_locality(
-                net, forced_nodes, forced_transistors, sequence, "compiled"
-            )
-        finally:
-            compiled_module._np = saved
-            compiled_module._COMPILED.pop(net, None)
-        assert with_numpy == pure
-
-    def test_pure_python_env_var_disables_numpy(self):
-        # REPRO_PURE_PYTHON must make the import fall back even where
-        # numpy is installed, and the engine must still settle.
-        code = (
-            "from repro.switchlevel import compiled\n"
-            "assert compiled._np is None, 'numpy not disabled'\n"
-            "assert not compiled.numpy_enabled()\n"
-            "from repro.netlist.builder import NetworkBuilder\n"
-            "from repro.cells import nmos\n"
-            "from repro.switchlevel.scheduler import Engine\n"
-            "b = NetworkBuilder()\n"
-            "b.input('a')\n"
-            "nmos.inverter(b, 'a', 'out')\n"
-            "net = b.build()\n"
-            "e = Engine(net, locality='compiled')\n"
-            "e.drive(net.node('vdd'), 1)\n"
-            "e.drive(net.node('gnd'), 0)\n"
-            "e.drive(net.node('a'), 0)\n"
-            "e.settle()\n"
-            "assert e.states[net.node('out')] == 1\n"
-        )
-        env = dict(os.environ, REPRO_PURE_PYTHON="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.environ.get("PYTHONPATH"), _SRC_DIR) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-
-
-_SRC_DIR = os.path.join(
-    os.path.dirname(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    ),
-    "src",
-)

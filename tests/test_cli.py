@@ -167,18 +167,6 @@ class TestFaultsim:
         assert code == 0
         assert "solve cache:" in out
 
-    def test_no_solve_cache_flag(self, netlist_path, tmp_path, capsys):
-        patterns = tmp_path / "pats.txt"
-        patterns.write_text("a=0\n\na=1\n")
-        code = main(
-            ["faultsim", netlist_path, "--observe", "out",
-             "--patterns", str(patterns), "--locality", "compiled",
-             "--no-solve-cache"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "0 hits" in out
-
     def test_profile_prints_to_stderr(self, netlist_path, tmp_path, capsys):
         patterns = tmp_path / "pats.txt"
         patterns.write_text("a=0\n\na=1\n")
@@ -275,6 +263,23 @@ class TestLint:
     def test_validate_alias(self, netlist_path, capsys):
         assert main(["validate", netlist_path]) == 0
         assert "clean" in capsys.readouterr().out
+
+    def test_missing_file_is_one_line_error(
+        self, netlist_path, tmp_path, capsys
+    ):
+        # Regression: a missing netlist or pattern file used to end in a
+        # raw FileNotFoundError traceback.
+        missing = str(tmp_path / "missing.sim")
+        for argv in (
+            ["lint", missing],
+            ["faultsim", netlist_path, "--observe", "out",
+             "--patterns", missing],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err == (
+                f"fmossim: error: {missing}: No such file or directory\n"
+            )
 
     def test_error_netlist_nonzero_exit(self, bad_path, capsys):
         assert main(["lint", bad_path]) == 1
